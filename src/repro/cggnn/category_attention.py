@@ -41,8 +41,8 @@ class CategoryAttentionLayer(nn.Module):
         ``category_mask`` (I, C).  Output (I, d).
         """
         num_items, max_categories, dim = category_states.shape
-        item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
-            np.ones((1, max_categories, 1)))
+        item_tiled = item_states.reshape(num_items, 1, dim).broadcast_to(
+            (num_items, max_categories, dim))
 
         pair = nn.concat([item_tiled, category_states], axis=-1)
         scores = F.leaky_relu(self.score_transform(pair), self.negative_slope)  # Eq. 8 (I, C, 1)

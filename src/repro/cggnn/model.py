@@ -126,7 +126,13 @@ class CGGNN(nn.Module):
 
     # ------------------------------------------------------------------ #
     def _prepare_index_arrays(self) -> None:
-        """Pre-compute gather indices for neighbour states and categories."""
+        """Pre-compute gather indices and the constant per-neighbour tensors.
+
+        Relation states, the purchase-relation state and the static share of
+        the neighbour states (attribute neighbours' TransE vectors, zero where
+        the neighbour is an item) never change during training, so they are
+        built once here instead of on every forward.
+        """
         table = self.table
         is_item = np.zeros_like(table.neighbor_mask)
         item_positions = np.zeros_like(table.neighbor_entities)
@@ -138,23 +144,25 @@ class CGGNN(nn.Module):
                 if self.graph.entities.type_of(neighbor) == EntityType.ITEM:
                     is_item[row, column] = 1.0
                     item_positions[row, column] = table.item_position[neighbor]
-        self._neighbor_is_item = is_item
         self._neighbor_item_positions = item_positions
+        self._neighbor_is_item = Tensor(is_item[..., None])
+        self._static_neighbor_states = Tensor(
+            self._static_entities[table.neighbor_entities] * (1.0 - is_item[..., None]))
+        self._relation_states = Tensor(self._static_relations[table.neighbor_relations])
+        self._purchase_state = Tensor(
+            self._static_relations[relation_index(Relation.PURCHASE)])
 
     # ------------------------------------------------------------------ #
     def forward(self) -> Tensor:
         """Return the refined item representation matrix ``(num_items, dim)``."""
         table = self.table
         item_states = self.item_embeddings
-        purchase_state = Tensor(self._static_relations[relation_index(Relation.PURCHASE)])
-        relation_states = Tensor(self._static_relations[table.neighbor_relations])
-        static_neighbor_states = self._static_entities[table.neighbor_entities]
 
         if self.config.use_ggnn:
             for propagation, gating in zip(self.propagation_layers, self.gating_layers):
-                neighbor_states = self._neighbor_states(item_states, static_neighbor_states)
-                message = propagation(item_states, neighbor_states, relation_states,
-                                      purchase_state, table.neighbor_mask,
+                neighbor_states = self._neighbor_states(item_states)
+                message = propagation(item_states, neighbor_states, self._relation_states,
+                                      self._purchase_state, table.neighbor_mask,
                                       table.neighbor_is_outgoing)
                 item_states = gating(message, item_states)
 
@@ -163,16 +171,13 @@ class CGGNN(nn.Module):
             item_states = item_states + self.config.delta * category_context   # Eq. 11
         return item_states
 
-    def _neighbor_states(self, item_states: Tensor,
-                         static_neighbor_states: np.ndarray) -> Tensor:
+    def _neighbor_states(self, item_states: Tensor) -> Tensor:
         """Neighbour representations: current item states for item neighbours,
         static TransE vectors for attributes."""
         gathered_items = item_states.index_select(
             self._neighbor_item_positions.reshape(-1)
         ).reshape(self.table.num_items, self.table.max_neighbors, self.config.embedding_dim)
-        is_item = Tensor(self._neighbor_is_item[..., None])
-        static = Tensor(static_neighbor_states)
-        return gathered_items * is_item + static * (1.0 - is_item)
+        return gathered_items * self._neighbor_is_item + self._static_neighbor_states
 
     def _category_context(self, item_states: Tensor) -> Tensor:
         """Stacked category attention hops (Eq. 8-10)."""

@@ -7,6 +7,13 @@ For every item ``v_i`` and neighbour ``(r, e_j)`` the layer
    attention can judge how relevant a neighbour is to shopping behaviour;
 2. computes the scalar attention ``α = σ(W2 t + b)``;
 3. aggregates ``n_vi = Σ_out α · W_out (h_ej ∘ h_r) + Σ_in α · W_in (h_ej ∘ h_r)``.
+
+Eq. 1 is computed blockwise: ``W1`` is four stacked ``d × d`` row blocks, one
+per concatenated part, so ``W1 [a ⊕ b ⊕ c ⊕ p] = W1_a a + W1_b b + W1_c c + W1_p p``.
+The item block is applied once per item and the purchase block once, then both
+are broadcast over the neighbours; the ``(I, N, 4d)`` concatenation is never
+built.  The weight stays a single ``Linear(4d, d)``, so initialisation and
+``state_dict`` keys are those of the concatenated form.
 """
 
 from __future__ import annotations
@@ -43,18 +50,18 @@ class AdaptivePropagationLayer(nn.Module):
         ``relation_states`` (I, N, d); ``purchase_state`` (d,);
         masks (I, N).  Output (I, d).
         """
-        num_items, max_neighbors, dim = neighbor_states.shape
+        num_items, _, dim = neighbor_states.shape
+        weight = self.triplet_transform.weight
+        item_block, neighbor_block, relation_block, purchase_block = (
+            weight[i * dim:(i + 1) * dim] for i in range(4))
 
-        # Broadcast the item state and the purchase-relation embedding over the
-        # neighbour axis so the concatenation of Eq. 1 can be done in one shot.
-        item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
-            np.ones((1, max_neighbors, 1)))
-        purchase_tiled = purchase_state.reshape(1, 1, dim) * Tensor(
-            np.ones((num_items, max_neighbors, 1)))
-
-        triplet_input = nn.concat(
-            [item_tiled, neighbor_states, relation_states, purchase_tiled], axis=-1)
-        triplet_repr = F.sigmoid(self.triplet_transform(triplet_input))       # Eq. 1
+        # Eq. 1, blockwise: the item and purchase terms do not vary over the
+        # neighbour axis, so they are computed once and broadcast.
+        item_term = (item_states @ item_block).reshape(num_items, 1, dim)
+        shared_term = purchase_state @ purchase_block + self.triplet_transform.bias
+        triplet_logits = (item_term + neighbor_states @ neighbor_block
+                          + relation_states @ relation_block + shared_term)
+        triplet_repr = F.sigmoid(triplet_logits)                              # Eq. 1
         attention = F.sigmoid(self.attention(triplet_repr))                   # Eq. 2 (I, N, 1)
 
         mask = Tensor(neighbor_mask[..., None])

@@ -45,6 +45,10 @@ class CGGNNTrainingConfig:
             raise ValueError("epochs must be non-negative")
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
+        if self.negatives_per_positive < 1:
+            raise ValueError("negatives_per_positive must be at least 1")
+        if self.gradient_clip <= 0:
+            raise ValueError("gradient_clip must be positive")
 
 
 class CGGNNTrainer:

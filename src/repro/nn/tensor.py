@@ -11,6 +11,9 @@ The engine is intentionally simple: every operation records a local backward
 closure on the output tensor; :meth:`Tensor.backward` runs a topological sort
 over the recorded graph and accumulates gradients.  Broadcasting is supported
 for elementwise binary operations via :func:`_unbroadcast`.
+
+A backward closure returns ``None`` for a parent that does not require a
+gradient (a mask, a constant table), so no gradient is ever computed for it.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class Tensor:
         The tensors this one was computed from (internal use).
     backward_fn:
         Closure that, given the output gradient, returns one gradient per
-        parent (internal use).
+        parent, or ``None`` for a parent that needs none (internal use).
     name:
         Optional label used only for debugging.
     """
@@ -137,8 +140,9 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self.data + other_t.data
 
-        def backward(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return _unbroadcast(grad, self.shape), _unbroadcast(grad, other_t.shape)
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
+            return (_unbroadcast(grad, self.shape) if self.requires_grad else None,
+                    _unbroadcast(grad, other_t.shape) if other_t.requires_grad else None)
 
         return Tensor._make(out, (self, other_t), backward)
 
@@ -154,8 +158,9 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self.data - other_t.data
 
-        def backward(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            return _unbroadcast(grad, self.shape), _unbroadcast(-grad, other_t.shape)
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
+            return (_unbroadcast(grad, self.shape) if self.requires_grad else None,
+                    _unbroadcast(-grad, other_t.shape) if other_t.requires_grad else None)
 
         return Tensor._make(out, (self, other_t), backward)
 
@@ -166,10 +171,10 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self.data * other_t.data
 
-        def backward(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
             return (
-                _unbroadcast(grad * other_t.data, self.shape),
-                _unbroadcast(grad * self.data, other_t.shape),
+                _unbroadcast(grad * other_t.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(grad * self.data, other_t.shape) if other_t.requires_grad else None,
             )
 
         return Tensor._make(out, (self, other_t), backward)
@@ -180,10 +185,11 @@ class Tensor:
         other_t = other if isinstance(other, Tensor) else Tensor(other)
         out = self.data / other_t.data
 
-        def backward(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
             return (
-                _unbroadcast(grad / other_t.data, self.shape),
-                _unbroadcast(-grad * self.data / (other_t.data**2), other_t.shape),
+                _unbroadcast(grad / other_t.data, self.shape) if self.requires_grad else None,
+                _unbroadcast(-grad * self.data / (other_t.data**2), other_t.shape)
+                if other_t.requires_grad else None,
             )
 
         return Tensor._make(out, (self, other_t), backward)
@@ -204,10 +210,12 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def matmul(self, other: "Tensor") -> "Tensor":
         other_t = other if isinstance(other, Tensor) else Tensor(other)
-        out = self.data @ other_t.data
+        a, b = self.data, other_t.data
+        if a.ndim > 2 and b.ndim == 2:
+            return self._stacked_matmul(other_t)
+        out = a @ b
 
-        def backward(grad: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-            a, b = self.data, other_t.data
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
             if a.ndim == 1 and b.ndim == 2:
                 grad_a = grad @ b.T
                 grad_b = np.outer(a, grad)
@@ -222,11 +230,32 @@ class Tensor:
                 grad_b = np.swapaxes(a, -1, -2) @ grad
                 grad_a = _unbroadcast(grad_a, a.shape)
                 grad_b = _unbroadcast(grad_b, b.shape)
-            return grad_a, grad_b
+            return (grad_a if self.requires_grad else None,
+                    grad_b if other_t.requires_grad else None)
 
         return Tensor._make(out, (self, other_t), backward)
 
     __matmul__ = matmul
+
+    def _stacked_matmul(self, other: "Tensor") -> "Tensor":
+        """``(..., k) @ (k, m)`` as one 2-D GEMM over the flattened leading axes.
+
+        A batched matmul would run one small product per leading index and,
+        backward, build a ``(..., k, m)`` weight gradient only to sum it.
+        """
+        a, b = self.data, other.data
+        lead = a.shape[:-1]
+        flat = a.reshape(-1, a.shape[-1])
+        out = (flat @ b).reshape(*lead, b.shape[-1])
+
+        def backward(grad: np.ndarray) -> Tuple[Optional[np.ndarray], ...]:
+            grad_flat = grad.reshape(-1, b.shape[-1])
+            return (
+                (grad_flat @ b.T).reshape(a.shape) if self.requires_grad else None,
+                flat.T @ grad_flat if other.requires_grad else None,
+            )
+
+        return Tensor._make(out, (self, other), backward)
 
     def transpose(self) -> "Tensor":
         out = self.data.T
@@ -283,14 +312,32 @@ class Tensor:
         return Tensor._make(np.asarray(out), (self,), backward)
 
     def index_select(self, indices: np.ndarray) -> "Tensor":
-        """Gather rows (first axis) by integer ``indices`` with scatter-add backward."""
+        """Gather rows (first axis) by integer ``indices`` with scatter-add backward.
+
+        The backward scatter is one ``np.bincount`` over the flattened
+        ``row * width + column`` positions; it adds the contributions to each
+        element in the order ``np.add.at`` would, so the sums are bit-equal.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         out = self.data[idx]
 
         def backward(grad: np.ndarray) -> Tuple[np.ndarray]:
-            full = np.zeros_like(self.data)
-            np.add.at(full, idx, grad)
-            return (full,)
+            rows = self.shape[0]
+            width = self.size // rows if rows else 0
+            flat_rows = idx.reshape(-1)
+            flat_rows = np.where(flat_rows < 0, flat_rows + rows, flat_rows)
+            positions = (flat_rows[:, None] * width + np.arange(width)).reshape(-1)
+            full = np.bincount(positions, weights=grad.reshape(-1), minlength=self.size)
+            return (full.reshape(self.shape),)
+
+        return Tensor._make(out, (self,), backward)
+
+    def broadcast_to(self, shape: Tuple[int, ...]) -> "Tensor":
+        """Broadcast to ``shape`` as a read-only view; backward sums it back."""
+        out = np.broadcast_to(self.data, shape)
+
+        def backward(grad: np.ndarray) -> Tuple[np.ndarray]:
+            return (_unbroadcast(grad, self.shape),)
 
         return Tensor._make(out, (self,), backward)
 
@@ -409,7 +456,7 @@ class Tensor:
                 continue
             parent_grads = node._backward_fn(node_grad)
             for parent, parent_grad in zip(node._parents, parent_grads):
-                if not parent.requires_grad:
+                if parent_grad is None or not parent.requires_grad:
                     continue
                 key = id(parent)
                 if key in grads:

@@ -18,14 +18,22 @@ from .bench import (
     run_bench,
     write_bench_json,
 )
-from .reference import ScalarPathRecommender, train_transe_reference
+from .reference import (
+    ConcatPropagationLayer,
+    ScalarPathRecommender,
+    TiledCategoryAttentionLayer,
+    train_transe_reference,
+    use_reference_layers,
+)
 
 __all__ = [
     "GATED_METRICS",
     "PROFILES",
     "BenchProfile",
+    "ConcatPropagationLayer",
     "Regression",
     "ScalarPathRecommender",
+    "TiledCategoryAttentionLayer",
     "build_stack",
     "compare_with_baseline",
     "default_baseline_path",
@@ -33,5 +41,6 @@ __all__ = [
     "render_report",
     "run_bench",
     "train_transe_reference",
+    "use_reference_layers",
     "write_bench_json",
 ]

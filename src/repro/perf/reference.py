@@ -2,7 +2,8 @@
 
 When the beam search, the pruning and the TransE trainer were vectorised,
 their original one-Python-iteration-per-beam/-triplet implementations moved
-here verbatim.  They serve two purposes:
+here verbatim; so did the CGGNN layers' concatenation-based forwards when
+Eq. 1 became blockwise.  They serve two purposes:
 
 * **equivalence oracles** — ``tests/test_perf_equivalence.py`` pins the
   vectorised implementations to these references (identical top-k items and
@@ -21,11 +22,17 @@ from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
+from .. import nn
+from ..cggnn.category_attention import _MASK_FILL, CategoryAttentionLayer
+from ..cggnn.model import CGGNN
+from ..cggnn.propagation import AdaptivePropagationLayer
 from ..darl.collaborative import action_target_categories
 from ..darl.inference import PathRecommender
 from ..embeddings.transe import TransEConfig, TransEModel
 from ..kg.graph import KnowledgeGraph
 from ..kg.relations import Relation
+from ..nn import Tensor
+from ..nn import functional as F
 from ..rl.environment import EntityState
 from ..rl.trajectory import RecommendationPath
 
@@ -257,3 +264,86 @@ def _margin_step_reference(model: TransEModel, config: TransEConfig,
     np.add.at(rel, relations[active], lr * neg_grad)
 
     return float(np.mean(violation[active]))
+
+
+# --------------------------------------------------------------------------- #
+# concatenation-based CGGNN layers (pre-blockwise Eq. 1)
+# --------------------------------------------------------------------------- #
+class ConcatPropagationLayer(AdaptivePropagationLayer):
+    """:class:`AdaptivePropagationLayer` whose Eq. 1 concatenates, kept verbatim.
+
+    Tiles the item and purchase states over the neighbour axis by multiplying
+    with ``np.ones`` and builds the ``(I, N, 4d)`` concatenation that the
+    production layer's blockwise Eq. 1 avoids.
+    """
+
+    def forward(self, item_states: Tensor, neighbor_states: Tensor,
+                relation_states: Tensor, purchase_state: Tensor,
+                neighbor_mask: np.ndarray, neighbor_is_outgoing: np.ndarray) -> Tensor:
+        num_items, max_neighbors, dim = neighbor_states.shape
+
+        # Broadcast the item state and the purchase-relation embedding over the
+        # neighbour axis so the concatenation of Eq. 1 can be done in one shot.
+        item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
+            np.ones((1, max_neighbors, 1)))
+        purchase_tiled = purchase_state.reshape(1, 1, dim) * Tensor(
+            np.ones((num_items, max_neighbors, 1)))
+
+        triplet_input = nn.concat(
+            [item_tiled, neighbor_states, relation_states, purchase_tiled], axis=-1)
+        triplet_repr = F.sigmoid(self.triplet_transform(triplet_input))       # Eq. 1
+        attention = F.sigmoid(self.attention(triplet_repr))                   # Eq. 2 (I, N, 1)
+
+        mask = Tensor(neighbor_mask[..., None])
+        outgoing = Tensor(neighbor_is_outgoing[..., None])
+        incoming = Tensor((1.0 - neighbor_is_outgoing)[..., None])
+
+        interaction = neighbor_states * relation_states                       # h_ej ∘ h_r
+        message_out = self.transform_out(interaction) * outgoing
+        message_in = self.transform_in(interaction) * incoming
+        weighted = attention * mask * (message_out + message_in)              # Eq. 3
+        return weighted.sum(axis=1)
+
+
+class TiledCategoryAttentionLayer(CategoryAttentionLayer):
+    """:class:`CategoryAttentionLayer` tiling by ``np.ones`` products, kept verbatim."""
+
+    def forward(self, item_states: Tensor, category_states: Tensor,
+                category_mask: np.ndarray) -> Tensor:
+        num_items, max_categories, dim = category_states.shape
+        item_tiled = item_states.reshape(num_items, 1, dim) * Tensor(
+            np.ones((1, max_categories, 1)))
+
+        pair = nn.concat([item_tiled, category_states], axis=-1)
+        scores = F.leaky_relu(self.score_transform(pair), self.negative_slope)  # Eq. 8 (I, C, 1)
+        scores = scores.reshape(num_items, max_categories)
+
+        # Masked softmax (Eq. 9): padded category slots get a large negative score.
+        masked_scores = scores + Tensor((1.0 - category_mask) * _MASK_FILL)
+        attention = F.softmax(masked_scores, axis=-1)
+        attention = attention * Tensor(category_mask)
+        normaliser = attention.sum(axis=-1, keepdims=True) + 1e-12
+        attention = attention / normaliser
+
+        weighted = category_states * attention.reshape(num_items, max_categories, 1)
+        return weighted.sum(axis=1)                                             # Eq. 10
+
+
+def _adopt(cls, layer: nn.Module) -> nn.Module:
+    """A ``cls`` instance over ``layer``'s own attributes (weights shared)."""
+    reference = cls.__new__(cls)
+    reference.__dict__.update(vars(layer))
+    return reference
+
+
+def use_reference_layers(model: CGGNN) -> CGGNN:
+    """Swap ``model``'s propagation and category layers for the frozen ones.
+
+    The reference layers share the replaced layers' weights, so parameter
+    names, order and values are unchanged; returns ``model``.
+    """
+    model.propagation_layers = [_adopt(ConcatPropagationLayer, layer)
+                                for layer in model.propagation_layers]
+    model.category_layers = [_adopt(TiledCategoryAttentionLayer, layer)
+                             for layer in model.category_layers]
+    return model

@@ -189,6 +189,32 @@ class TestCGGNNTraining:
         with pytest.raises(ValueError):
             CGGNNTrainingConfig(batch_size=0).validate()
 
+    @pytest.mark.parametrize("overrides", [
+        {"negatives_per_positive": 0},
+        {"negatives_per_positive": -1},
+        {"gradient_clip": 0.0},
+        {"gradient_clip": -5.0},
+    ])
+    def test_training_config_rejects_values_that_break_training(
+            self, tiny_kg, small_cggnn, overrides):
+        # No negatives left train() indexing an empty loss list; a negative
+        # clip norm scaled every gradient by a negative factor.
+        graph, _, _ = tiny_kg
+        with pytest.raises(ValueError):
+            CGGNNTrainingConfig(**overrides).validate()
+        with pytest.raises(ValueError):
+            CGGNNTrainer(small_cggnn, graph, CGGNNTrainingConfig(**overrides))
+
+    def test_several_negatives_per_positive_train(self, tiny_kg, tiny_transe):
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        model = CGGNN(graph, transe, CGGNNConfig(embedding_dim=16, num_ggnn_layers=1,
+                                                 num_category_layers=1, max_neighbors=6,
+                                                 max_categories=3, seed=0))
+        config = CGGNNTrainingConfig(epochs=2, negatives_per_positive=3, seed=0)
+        losses = CGGNNTrainer(model, graph, config).train()
+        assert len(losses) == 2 and all(np.isfinite(losses))
+
     def test_purchase_pairs_only_reference_items(self, tiny_kg, small_cggnn):
         graph, _, _ = tiny_kg
         trainer = CGGNNTrainer(small_cggnn, graph)

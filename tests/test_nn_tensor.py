@@ -128,6 +128,40 @@ class TestMatmulAndShape:
         assert w.grad.shape == (3, 5)
         assert np.allclose(w.grad, 8.0)
 
+    @pytest.mark.parametrize("grad_on", ["input", "weight", "both"])
+    def test_stacked_matmul_gradient_matches_numerical(self, grad_on):
+        rng = np.random.default_rng(3)
+        a_value = rng.normal(size=(3, 4, 5))
+        w_value = rng.normal(size=(5, 2))
+        upstream = rng.normal(size=(3, 4, 2))
+        a = Tensor(a_value, requires_grad=grad_on in ("input", "both"))
+        w = Tensor(w_value, requires_grad=grad_on in ("weight", "both"))
+        out = a @ w
+        assert np.allclose(out.data, np.matmul(a_value, w_value), rtol=0, atol=1e-12)
+        (out * Tensor(upstream)).sum().backward()
+
+        def loss(x_a, x_w):
+            return float(np.sum(np.matmul(x_a, x_w) * upstream))
+
+        if a.requires_grad:
+            numeric = numerical_gradient(lambda x: loss(x, w_value), a_value)
+            assert np.allclose(a.grad, numeric, atol=1e-6)
+        else:
+            assert a.grad is None
+        if w.requires_grad:
+            numeric = numerical_gradient(lambda x: loss(a_value, x), w_value)
+            assert np.allclose(w.grad, numeric, atol=1e-6)
+        else:
+            assert w.grad is None
+
+    def test_batched_matmul_with_stacked_weight_still_unbroadcasts(self):
+        rng = np.random.default_rng(4)
+        a = Tensor(rng.normal(size=(3, 2, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 4, 5)), requires_grad=True)
+        (a @ b).sum().backward()
+        assert np.allclose(a.grad, np.ones((3, 2, 5)) @ np.swapaxes(b.data, -1, -2))
+        assert np.allclose(b.grad, np.swapaxes(a.data, -1, -2) @ np.ones((3, 2, 5)))
+
     def test_transpose_and_reshape(self):
         a = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
         a.T.sum().backward()
@@ -166,6 +200,69 @@ class TestReductionsIndexing:
         a = Tensor(np.arange(8, dtype=float).reshape(4, 2), requires_grad=True)
         out = a.index_select(np.array([[0, 1], [2, 3]]))
         assert out.shape == (2, 2, 2)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 3), (5, 2, 3)])
+    def test_index_select_backward_equals_add_at(self, shape):
+        rng = np.random.default_rng(5)
+        indices = np.array([[0, -1, 2, 2], [4, -5, 0, -1], [3, 3, -2, 1]])
+        a = Tensor(rng.normal(size=shape), requires_grad=True)
+        upstream = rng.normal(size=indices.shape + shape[1:])
+        out = a.index_select(indices)
+        assert np.array_equal(out.data, a.data[indices])
+        (out * Tensor(upstream)).sum().backward()
+        expected = np.zeros(shape)
+        np.add.at(expected, indices, upstream)
+        assert np.array_equal(a.grad, expected)
+
+    def test_index_select_backward_with_no_indices(self):
+        a = Tensor(np.ones((3, 2)), requires_grad=True)
+        a.index_select(np.zeros(0, dtype=np.int64)).sum().backward()
+        assert np.array_equal(a.grad, np.zeros((3, 2)))
+
+    def test_broadcast_to_gradient_matches_numerical(self):
+        rng = np.random.default_rng(6)
+        value = rng.normal(size=(3, 1, 2))
+        upstream = rng.normal(size=(4, 3, 5, 2))
+        t = Tensor(value, requires_grad=True)
+        out = t.broadcast_to((4, 3, 5, 2))
+        assert np.array_equal(out.data, np.broadcast_to(value, (4, 3, 5, 2)))
+        (out * Tensor(upstream)).sum().backward()
+        numeric = numerical_gradient(
+            lambda x: float(np.sum(np.broadcast_to(x, upstream.shape) * upstream)), value)
+        assert np.allclose(t.grad, numeric, atol=1e-6)
+
+
+class TestConstantParents:
+    """A parent that needs no gradient gets none computed, and keeps ``grad=None``."""
+
+    @pytest.mark.parametrize("op", [
+        lambda x, c: x + c,
+        lambda x, c: c + x,
+        lambda x, c: x - c,
+        lambda x, c: c - x,
+        lambda x, c: x * c,
+        lambda x, c: c * x,
+        lambda x, c: x / c,
+        lambda x, c: c / x,
+        lambda x, c: x.reshape(2, 3) @ c.reshape(3, 2),
+        lambda x, c: c.reshape(2, 3) @ x.reshape(3, 2),
+        lambda x, c: x.reshape(1, 2, 3) @ c.reshape(3, 2),
+        lambda x, c: c.reshape(1, 2, 3) @ x.reshape(3, 2),
+    ])
+    def test_constant_parent_gradient_is_never_computed(self, op):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.uniform(1.0, 2.0, size=6), requires_grad=True)
+        constant = Tensor(rng.uniform(1.0, 2.0, size=6))
+        out = op(x, constant)
+        parent_grads = out._backward_fn(np.ones(out.shape))
+        for parent, parent_grad in zip(out._parents, parent_grads):
+            if parent is constant or not parent.requires_grad:
+                assert parent_grad is None
+            else:
+                assert parent_grad is not None
+        out.sum().backward()
+        assert constant.grad is None
+        assert x.grad is not None and x.grad.shape == x.shape
 
 
 class TestActivationsNumerically:

@@ -1,9 +1,10 @@
 """Vectorised ≡ scalar equivalence, CSR adjacency, cache bounds, bench harness.
 
-The vectorised hot paths (CSR pruning, frontier beam search, fast TransE)
-must be *behaviour-preserving* rewrites: every test here pins them against
-either the frozen scalar references in :mod:`repro.perf.reference` or the
-list-based originals that remain in the codebase.
+The vectorised hot paths (CSR pruning, frontier beam search, fast TransE,
+blockwise CGGNN layers) must be *behaviour-preserving* rewrites: every test
+here pins them against either the frozen references in
+:mod:`repro.perf.reference` or the list-based originals that remain in the
+codebase.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, train_cggnn
 from repro.darl.inference import InferenceConfig, PathRecommender
 from repro.darl.shared_policy import PolicyConfig, SharedPolicyNetworks
 from repro.embeddings import TransEConfig, train_transe
@@ -29,9 +31,12 @@ from repro.kg import (
 )
 from repro.perf import (
     BenchProfile,
+    ConcatPropagationLayer,
     ScalarPathRecommender,
+    TiledCategoryAttentionLayer,
     compare_with_baseline,
     train_transe_reference,
+    use_reference_layers,
     write_bench_json,
 )
 from repro.rl.environment import EntityEnvironment, LRUCache
@@ -127,6 +132,78 @@ class TestTransEEquivalence:
         one, _ = train_transe(graph, TransEConfig(embedding_dim=16, epochs=2, seed=0))
         two, _ = train_transe(graph, TransEConfig(embedding_dim=16, epochs=2, seed=9))
         assert not np.allclose(one.entity_embeddings, two.entity_embeddings)
+
+
+class TestCGGNNEquivalence:
+    """Blockwise Eq. 1 and ``broadcast_to`` tiling ≡ the concatenation forms."""
+
+    CONFIG = dict(embedding_dim=16, num_ggnn_layers=2, num_category_layers=2,
+                  max_neighbors=6, max_categories=3, seed=0)
+    TRAINING = dict(epochs=4, batch_size=32, negatives_per_positive=2, seed=0)
+
+    @pytest.fixture(scope="class")
+    def trained_pair(self, tiny_kg, tiny_transe):
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        pair = []
+        for reference in (False, True):
+            model = CGGNN(graph, transe, CGGNNConfig(**self.CONFIG))
+            if reference:
+                use_reference_layers(model)
+            representations, losses = train_cggnn(
+                graph, model, CGGNNTrainingConfig(**self.TRAINING))
+            pair.append((model, representations, losses))
+        return pair
+
+    def test_reference_layers_share_parameter_names(self, tiny_kg, tiny_transe):
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        model = CGGNN(graph, transe, CGGNNConfig(**self.CONFIG))
+        before = model.state_dict()
+        use_reference_layers(model)
+        assert all(isinstance(layer, ConcatPropagationLayer)
+                   for layer in model.propagation_layers)
+        assert all(isinstance(layer, TiledCategoryAttentionLayer)
+                   for layer in model.category_layers)
+        after = model.state_dict()
+        assert list(after) == list(before)
+        assert all(np.array_equal(after[name], before[name]) for name in before)
+
+    def test_untrained_forward_matches(self, tiny_kg, tiny_transe):
+        graph, _, _ = tiny_kg
+        transe, _ = tiny_transe
+        fast = CGGNN(graph, transe, CGGNNConfig(**self.CONFIG)).forward()
+        slow = use_reference_layers(
+            CGGNN(graph, transe, CGGNNConfig(**self.CONFIG))).forward()
+        assert np.allclose(fast.data, slow.data, rtol=0, atol=1e-12)
+
+    def test_loss_curves_match(self, trained_pair):
+        (_, _, fast), (_, _, slow) = trained_pair
+        assert len(fast) == len(slow) == self.TRAINING["epochs"]
+        assert np.allclose(fast, slow, rtol=0, atol=1e-10)
+
+    def test_exported_representations_match(self, trained_pair):
+        (_, fast, _), (_, slow, _) = trained_pair
+        assert np.allclose(fast.entity, slow.entity, rtol=0, atol=1e-12)
+        assert np.allclose(fast.category, slow.category, rtol=0, atol=1e-12)
+        assert np.array_equal(fast.relation, slow.relation)
+
+    def test_downstream_topk_items_and_paths_identical(self, trained_pair, tiny_kg):
+        graph, category_graph, builder = tiny_kg
+        (_, fast, _), (_, slow, _) = trained_pair
+        policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=16, seed=0))
+        kwargs = dict(max_path_length=4,
+                      config=InferenceConfig(beam_width=8, expansions_per_beam=3,
+                                             top_k=5, min_path_length=2))
+        fast_recommender = PathRecommender(graph, category_graph, fast, policy, **kwargs)
+        slow_recommender = PathRecommender(graph, category_graph, slow, policy, **kwargs)
+        for user_id in range(20):
+            user = builder.user_to_entity(user_id)
+            fast_paths = fast_recommender.recommend(user)
+            slow_paths = slow_recommender.recommend(user)
+            assert fast_paths
+            assert [_path_key(p) for p in fast_paths] == \
+                [_path_key(p) for p in slow_paths]
 
 
 class TestPruningEquivalence:
