@@ -2,7 +2,8 @@
 
 Serves 50 synthetic users (with duplicates, as real traffic has) through
 ``RecommendationService.serve_many`` with a warm cache and compares against
-``PathRecommender.recommend_batch`` — the bare Python loop Table III times.
+``PathRecommender.recommend_many`` — the bare search Table III times, with no
+result cache.
 Prints both QPS numbers and asserts the serving path is faster while returning
 identical top-k item sets for the warm (non-fallback) users.
 """
@@ -56,11 +57,11 @@ def test_served_throughput_beats_naive_loop(bench_once, benchmark):
     served_seconds, responses = bench_once(benchmark, serve_warm)
 
     start = time.perf_counter()
-    naive = recommender.recommend_batch(user_entities, top_k=TOP_K)
+    naive = recommender.recommend_many(user_entities, top_k=TOP_K)
     naive_seconds = time.perf_counter() - start
 
     print()
-    print(f"naive recommend_batch loop: {naive_seconds:.4f}s "
+    print(f"naive recommend_many:       {naive_seconds:.4f}s "
           f"({NUM_REQUESTS / naive_seconds:8.0f} QPS)")
     print(f"served (warm cache):        {served_seconds:.4f}s "
           f"({NUM_REQUESTS / served_seconds:8.0f} QPS)")

@@ -46,8 +46,7 @@ Commands
     battery, aggregated into a deterministic comparison matrix (same seed ⇒
     bit-identical matrix signature; exit 1 on any oracle mismatch).
 ``experiments``
-    Run the paper's tables/figures (replaces the old ad-hoc
-    ``repro.experiments.runner`` argparse).
+    Run the paper's tables/figures.
 ``lint``
     Run the AST-based invariant linter (``repro.analysis``) over the given
     paths: seeded-RNG injection (DET001), no wall-clock reads outside the

@@ -2,7 +2,7 @@
 
 The ROADMAP's next step past a fast single node: run N shard workers — each
 an independent :class:`repro.serving.RecommendationService` with its own
-cache, micro-batcher and telemetry over the shared frozen artifacts — behind
+cache, batched search and telemetry over the shared frozen artifacts — behind
 a consistent-hash router with R-way replication, seeded failure injection,
 admission control and cluster-wide telemetry:
 

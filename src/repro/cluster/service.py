@@ -2,7 +2,7 @@
 
 ``ClusterService`` runs N shard workers — each an independent
 :class:`repro.serving.RecommendationService` with its own result cache,
-micro-batcher and telemetry over the *shared* frozen artifacts — behind a
+batched search and telemetry over the *shared* frozen artifacts — behind a
 consistent-hash router:
 
 1. a request's user keys into the ring; its replica chain is the primary

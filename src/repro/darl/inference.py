@@ -9,15 +9,18 @@ performs a guided beam search:
 * the **entity agent** expands a beam of KG walks, scored by the shared policy
   with the guidance bonus towards the current milestone.
 
-Inference never needs gradients, so it runs on the policy's NumPy fast path;
-this is what the efficiency study (Table III) measures.  The search itself is
+Inference never needs gradients, so the policy is compiled once into NumPy
+tables: the frozen representation tables pre-multiplied through the entity
+LSTM and the query MLP (:class:`_CompiledInference`).  The search is
 *vectorised over the whole frontier*: at every depth the candidate actions of
-all live beams — across all users of a batch in :meth:`recommend_many` — are
-concatenated into one ``(total_candidates, 2 * dim)`` gather from the frozen
-representation tables and scored with a single policy-query matmul, instead of
-one Python iteration (LSTM step, MLP, sort) per beam.  The scalar reference
-implementation this replaced lives on as :class:`repro.perf.reference.
-ScalarPathRecommender` and is pinned equal by the equivalence tests.
+all live beams — across all request slots of :meth:`recommend_requests` — are
+concatenated, and each candidate's logit is its relation score (a gather from
+a small per-beam ``(beams, relations)`` table) plus the dot product of its
+target embedding with the beam's target query.  Only the candidates are
+scored, so the cost per depth is linear in their number and independent of
+the graph size.  The scalar reference implementation this replaced lives on
+as :class:`repro.perf.reference.ScalarPathRecommender` and is pinned equal by
+the equivalence tests.
 """
 
 from __future__ import annotations
@@ -59,13 +62,6 @@ class InferenceConfig:
             raise ValueError("min_path_length must be positive")
 
 
-#: Compiled inference is used up to this many entities: beyond it the dense
-#: per-depth ``(beams, num_entities)`` score table (and the precomputed
-#: projection tables themselves) stop paying for themselves and the search
-#: falls back to the uncompiled policy calls.
-_COMPILED_MAX_ENTITIES = 4096
-
-
 class _CompiledInference:
     """Frozen-policy inference tables: embeddings pre-multiplied through
     the policy weights.
@@ -103,17 +99,14 @@ class _CompiledInference:
         bias_out = policy.entity_mlp_out.bias.data
         self.score_relation = weight_out[:, :dim] @ relation_table.T   # (m, R)
         self.score_relation_bias = bias_out[:dim] @ relation_table.T   # (R,)
-        self.score_entity = weight_out[:, dim:] @ entity_table.T       # (m, N)
-        self.score_entity_bias = bias_out[dim:] @ entity_table.T       # (N,)
-
-    @classmethod
-    def fits(cls, representations: Representations) -> bool:
-        return representations.entity.shape[0] <= _COMPILED_MAX_ENTITIES
+        self.target_weight = weight_out[:, dim:]                       # (m, dim)
+        self.target_bias = bias_out[dim:]                              # (dim,)
 
     def lstm_step(self, relation_idx: np.ndarray, entity_idx: np.ndarray,
                   state: NumpyLSTMState) -> Tuple[np.ndarray, NumpyLSTMState]:
         """Batched entity-LSTM step from table rows (partner share is zero
-        during inference, exactly as in the uncompiled fast path)."""
+        during inference, exactly as in
+        :meth:`SharedPolicyNetworks.encode_entity_step_numpy`)."""
         hidden, memory = state
         gates = self.lstm_relation[relation_idx] + self.lstm_entity[entity_idx]
         gates += hidden @ self.lstm_weight_hh
@@ -130,14 +123,14 @@ class _CompiledInference:
 
     def score_tables(self, entity_idx: np.ndarray, relation_idx: np.ndarray,
                      hidden: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-beam ``(relation_scores, target_scores)`` dense score tables."""
+        """Per-beam ``(B, R)`` relation scores and ``(B, dim)`` target queries."""
         pre = self.query_entity[entity_idx] + self.query_relation[relation_idx]
         pre += hidden @ self.query_hidden
         pre += self.query_bias
         np.maximum(pre, 0.0, out=pre)
         relation_scores = pre @ self.score_relation + self.score_relation_bias
-        target_scores = pre @ self.score_entity + self.score_entity_bias
-        return relation_scores, target_scores
+        target_queries = pre @ self.target_weight + self.target_bias
+        return relation_scores, target_queries
 
 
 @dataclass
@@ -191,16 +184,14 @@ class PathRecommender:
             raise ValueError("milestone_cache_limit must be positive")
         # Per-user greedy milestone trajectories.  The trajectory only depends
         # on the (frozen) policy and representations, so it is safe to reuse
-        # across recommend/find_paths calls; the serving micro-batcher also
-        # seeds it with vectorised batch rollouts.  LRU-bounded so a long-lived
+        # across recommend/find_paths calls; warm_milestones also seeds it
+        # with vectorised batch rollouts.  LRU-bounded so a long-lived
         # serving process does not grow it one entry per distinct user forever.
         self.milestone_cache: "OrderedDict[int, List[Optional[int]]]" = OrderedDict()
         self.milestone_cache_limit = milestone_cache_limit
         # Lazily compiled inference tables (policy weights folded through the
-        # frozen representation tables); None until first use or when the
-        # entity table is too large for the dense tables to pay off.
+        # frozen representation tables); None until the first search.
         self._compiled: Optional[_CompiledInference] = None
-        self._compiled_checked = False
         self.entity_environment = EntityEnvironment(graph, representations,
                                                     max_actions=max_entity_actions)
         self.category_environment = CategoryEnvironment(category_graph, graph, representations,
@@ -212,61 +203,36 @@ class PathRecommender:
     def recommend(self, user_entity: int, exclude_items: Optional[Set[int]] = None,
                   top_k: Optional[int] = None) -> List[RecommendationPath]:
         """Top-k recommended items for a user, each with its best explanation path."""
-        exclude = exclude_items or set()
-        k = top_k or self.config.top_k
-        candidates = self.search(user_entity, exclude)
-        ranked = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
-        return ranked[:k]
+        k = self._top_k(top_k)
+        return _ranked(self.search(user_entity, exclude_items or set()))[:k]
 
     def recommend_many(self, user_entities: Sequence[int],
                        exclude_items: Optional[Dict[int, Set[int]]] = None,
                        top_k: Optional[int] = None) -> Dict[int, List[RecommendationPath]]:
-        """Batched :meth:`recommend`: one frontier search across all users.
-
-        Milestone trajectories for users missing from the cache are computed
-        with one vectorised batch rollout; the beam searches of all users then
-        advance in lock-step, sharing every per-depth policy call.
-        """
+        """:meth:`recommend` for many (deduplicated) users in one batched search."""
         exclude_items = exclude_items or {}
         users = list(dict.fromkeys(user_entities))
-        k = top_k or self.config.top_k
-        self.warm_milestones(users)
-        queries = [(user, exclude_items.get(user, set()),
-                    self.category_milestones(user)) for user in users]
-        found = self._search_frontier(queries, keep_all_paths=False)
-        results: Dict[int, List[RecommendationPath]] = {}
-        for user, candidates in zip(users, found):
-            ranked = sorted(candidates.values(), key=lambda path: path.score,
-                            reverse=True)
-            results[user] = ranked[:k]
-        return results
+        found = self.recommend_requests([(user, exclude_items.get(user, set()), top_k)
+                                         for user in users])
+        return dict(zip(users, found))
 
-    def recommend_requests(self, requests: Sequence[Tuple[int, Set[int], int]]
+    def recommend_requests(self, requests: Sequence[Tuple[int, Set[int], Optional[int]]]
                            ) -> List[List[RecommendationPath]]:
         """Batched searches for ``(user, exclude_items, top_k)`` triples.
 
         One frontier search per request slot (so the same user may appear
-        twice with different exclusions), all advanced in lock-step.  This is
-        the entry point the serving facade's micro-batcher drives.
+        twice with different exclusions), all advanced in lock-step: milestone
+        trajectories for users missing from the cache come from one vectorised
+        rollout, and every depth shares one policy call across all slots.
         """
         if not requests:
             return []
+        top_ks = [self._top_k(top_k) for _, _, top_k in requests]
         self.warm_milestones([user for user, _, _ in requests])
         queries = [(user, exclude_items, self.category_milestones(user))
                    for user, exclude_items, _ in requests]
         found = self._search_frontier(queries, keep_all_paths=False)
-        results: List[List[RecommendationPath]] = []
-        for candidates, (_, _, top_k) in zip(found, requests):
-            ranked = sorted(candidates.values(), key=lambda path: path.score,
-                            reverse=True)
-            results.append(ranked[:top_k])
-        return results
-
-    def recommend_batch(self, user_entities: Sequence[int],
-                        exclude_items: Optional[Dict[int, Set[int]]] = None,
-                        top_k: Optional[int] = None) -> Dict[int, List[RecommendationPath]]:
-        """Recommendations for many users (used by the evaluation harness)."""
-        return self.recommend_many(user_entities, exclude_items, top_k)
+        return [_ranked(candidates)[:k] for candidates, k in zip(found, top_ks)]
 
     def find_paths(self, user_entity: int, num_paths: int) -> List[RecommendationPath]:
         """Enumerate up to ``num_paths`` item-terminated paths (efficiency metric).
@@ -275,8 +241,15 @@ class PathRecommender:
         without the top-k ranking step.
         """
         candidates = self.search(user_entity, exclude_items=set(), keep_all_paths=True)
-        paths = sorted(candidates.values(), key=lambda path: path.score, reverse=True)
-        return paths[:num_paths]
+        return _ranked(candidates)[:num_paths]
+
+    def _top_k(self, top_k: Optional[int]) -> int:
+        """``top_k`` with ``None`` meaning the configured default."""
+        if top_k is None:
+            return self.config.top_k
+        if top_k <= 0:
+            raise ValueError(f"top_k must be positive, got {top_k}")
+        return top_k
 
     # ------------------------------------------------------------------ #
     # category milestone trajectory (one per user, greedy)
@@ -406,21 +379,18 @@ class PathRecommender:
                ) -> Dict[int, RecommendationPath]:
         """Single-search core: beam search guided by the milestone trajectory.
 
-        This is the reusable unit the serving micro-batcher drives directly —
-        ``milestones`` may be injected (e.g. from a vectorised batch rollout);
-        otherwise the per-user cached trajectory is used.
+        ``milestones`` may be injected (e.g. from a vectorised batch
+        rollout); otherwise the per-user cached trajectory is used.
         """
         if milestones is None:
             milestones = self.category_milestones(user_entity)
         return self._search_frontier([(user_entity, exclude_items, milestones)],
                                      keep_all_paths=keep_all_paths)[0]
 
-    def _compiled_inference(self) -> Optional[_CompiledInference]:
-        """The compiled inference tables, or ``None`` on oversized graphs."""
-        if not self._compiled_checked:
-            self._compiled_checked = True
-            if _CompiledInference.fits(self.representations):
-                self._compiled = _CompiledInference(self.policy, self.representations)
+    def _compiled_inference(self) -> _CompiledInference:
+        """The compiled inference tables, built on first use."""
+        if self._compiled is None:
+            self._compiled = _CompiledInference(self.policy, self.representations)
         return self._compiled
 
     def _initial_frontier(self, queries: Sequence[Tuple[int, Set[int],
@@ -430,17 +400,8 @@ class PathRecommender:
         users = np.array([user for user, _, _ in queries], dtype=np.int64)
         batch = len(users)
         relation_indices = np.full(batch, _SELF_LOOP_INDEX, dtype=np.int64)
-        compiled = self._compiled_inference()
-        if compiled is not None:
-            hidden, lstm = compiled.lstm_step(
-                relation_indices, users,
-                self.policy.initial_state_numpy(batch_size=batch))
-        else:
-            hidden, lstm = self.policy.encode_entity_step_numpy(
-                np.broadcast_to(self.representations.relation[_SELF_LOOP_INDEX],
-                                (batch, self.representations.dim)),
-                self.representations.entity[users], None,
-                self.policy.initial_state_numpy(batch_size=batch))
+        hidden, lstm = self._compiled_inference().lstm_step(
+            relation_indices, users, self.policy.initial_state_numpy(batch_size=batch))
         return _Frontier(query=np.arange(batch, dtype=np.int64), entity=users,
                          relation=relation_indices,
                          log_prob=np.zeros(batch), hidden=hidden, lstm=lstm,
@@ -499,8 +460,7 @@ class PathRecommender:
         one ``{key: RecommendationPath}`` dict per query (keyed by item for
         deduplicated search, by running index with ``keep_all_paths``).
         """
-        representations = self.representations
-        policy = self.policy
+        entity_table = self.representations.entity
         adjacency = self.graph.adjacency()
         compiled = self._compiled_inference()
         strength = self.guidance.strength
@@ -529,37 +489,15 @@ class PathRecommender:
 
             # One policy call for every live beam:
             # logits[i] = action_vector(i) · query(beam_of[i]), with the query
-            # split into its relation and target halves so every logit is two
-            # scalar gathers out of dense per-beam score tables.  With
-            # compiled inference the tables come straight out of the folded
-            # projection matrices; otherwise the relation half is a dense
-            # (B, num_relations) product and the target half is dense up to a
-            # size heuristic, falling back to a per-candidate einsum on large
-            # graphs where the dense rectangle would not pay for itself.
-            if compiled is not None:
-                relation_scores, target_scores = compiled.score_tables(
-                    frontier.entity, frontier.relation, frontier.hidden)
-                logits = (relation_scores[beam_of, relations]
-                          + target_scores[beam_of, targets])
-            else:
-                queries_matrix = policy.entity_query_numpy(
-                    representations.entity[frontier.entity],
-                    representations.relation[frontier.relation],
-                    frontier.hidden)
-                dim = representations.dim
-                relation_queries = queries_matrix[:, :dim]
-                target_queries = queries_matrix[:, dim:]
-                relation_scores = relation_queries @ representations.relation.T
-                num_entities = representations.entity.shape[0]
-                if len(frontier) * num_entities <= 32 * len(targets):
-                    target_scores = target_queries @ representations.entity.T
-                    logits = (relation_scores[beam_of, relations]
-                              + target_scores[beam_of, targets])
-                else:
-                    logits = (relation_scores[beam_of, relations]
-                              + np.einsum("ij,ij->i",
-                                          representations.entity[targets],
-                                          target_queries[beam_of]))
+            # split into its relation and target halves.  The relation half
+            # is a gather from a dense (B, num_relations) table; the target
+            # half is one dot product per candidate, so the cost follows the
+            # candidate count, not the number of entities in the graph.
+            relation_scores, target_queries = compiled.score_tables(
+                frontier.entity, frontier.relation, frontier.hidden)
+            logits = (relation_scores[beam_of, relations]
+                      + np.einsum("ij,ij->i", entity_table[targets],
+                                  target_queries[beam_of]))
             guided_of_candidate = guided[beam_of]
             logits = logits + strength * (
                 (adjacency.entity_category[targets] == guided_of_candidate)
@@ -616,14 +554,8 @@ class PathRecommender:
                 # (batched) LSTM step is skipped outright.
                 parent_state = (frontier.lstm[0][survivors_parent],
                                 frontier.lstm[1][survivors_parent])
-                if compiled is not None:
-                    hidden, lstm = compiled.lstm_step(
-                        child_relation[keep], child_target[keep], parent_state)
-                else:
-                    hidden, lstm = policy.encode_entity_step_numpy(
-                        representations.relation[child_relation[keep]],
-                        representations.entity[child_target[keep]], None,
-                        parent_state)
+                hidden, lstm = compiled.lstm_step(
+                    child_relation[keep], child_target[keep], parent_state)
             else:
                 hidden, lstm = frontier.hidden, frontier.lstm
             frontier = _Frontier(query=child_query[keep],
@@ -658,3 +590,8 @@ class PathRecommender:
                                              item_entity=entity,
                                              hops=frontier.hops[index],
                                              score=score)
+
+
+def _ranked(candidates: Dict[int, RecommendationPath]) -> List[RecommendationPath]:
+    """Found paths, best score first (stable for equal scores)."""
+    return sorted(candidates.values(), key=lambda path: path.score, reverse=True)

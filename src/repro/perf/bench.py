@@ -36,6 +36,7 @@ threshold below the committed baseline.
 from __future__ import annotations
 
 import json
+import os
 import platform
 import statistics
 import time
@@ -58,6 +59,10 @@ from .reference import ScalarPathRecommender, train_transe_reference
 #: gate.  Ratios only: absolute epochs/s and QPS depend on the machine.
 GATED_METRICS = ("transe.speedup", "beam_cold.speedup", "beam_warm.speedup",
                  "csr_patch.speedup")
+
+#: BLAS/OpenMP thread pins recorded in ``meta`` (``None`` when unset): an
+#: unpinned BLAS may oversubscribe the cores and make the speedups bimodal.
+THREAD_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass
@@ -613,6 +618,8 @@ def run_bench(profile: Union[str, BenchProfile],
             "numpy": np.__version__,
             "python": platform.python_version(),
             "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            **{name: os.environ.get(name) for name in THREAD_ENV_VARS},
         },
         "metrics": metrics,
         "gated": list(GATED_METRICS),

@@ -78,14 +78,6 @@ class ScalarPathRecommender(PathRecommender):
     vectorisation change.
     """
 
-    def recommend_many(self, user_entities, exclude_items=None, top_k=None):
-        """Pre-vectorisation batch path: one independent search per user."""
-        exclude_items = exclude_items or {}
-        return {
-            user: self.recommend(user, exclude_items.get(user, set()), top_k)
-            for user in dict.fromkeys(user_entities)
-        }
-
     def recommend_requests(self, requests):
         """Pre-vectorisation request batching: one scalar search per request."""
         return [self.recommend(user, exclude_items, top_k)

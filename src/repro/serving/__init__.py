@@ -2,21 +2,20 @@
 
 The paper's efficiency study (Table III) times a bare inference loop; this
 package is the deployment counterpart the ROADMAP asks for — a service facade
-with result caching, micro-batched inference, tiered fallbacks and telemetry:
+with result caching, batched inference, tiered fallbacks and telemetry:
 
 * :class:`RecommendationService` — the facade: ``serve`` / ``serve_many`` over
   typed :class:`RecommendationRequest` / :class:`RecommendationResponse`;
   every response carries per-request provenance (``tier``, ``source_tier``,
-  ``cache_hit``) so load-replay oracles can assert correctness per request.
+  ``cache_hit``) so load-replay oracles can assert correctness per request;
+  ``serve_many`` answers a burst's uncached requests with one batched
+  frontier search (:meth:`repro.darl.PathRecommender.recommend_requests`).
 * :class:`ResultCache` — LRU + TTL result cache with explicit invalidation.
-* :class:`MicroBatcher` — deduplicates users and vectorises the shared
-  category-milestone rollouts across a batch.
 * :class:`TieredRanker` — full beam search → stale cache → embedding top-k,
   chosen per request from its latency budget and the user's history.
 * :class:`ServingTelemetry` — rolling p50/p95/p99 latency, QPS, hit rates.
 """
 
-from .batching import MicroBatcher, batched_category_milestones
 from .cache import CacheKey, CacheStats, ResultCache
 from .fallback import (
     FallbackRanker,
@@ -39,7 +38,6 @@ __all__ = [
     "CacheStats",
     "CachedResult",
     "FallbackRanker",
-    "MicroBatcher",
     "RecommendationRequest",
     "RecommendationResponse",
     "RecommendationService",
@@ -50,5 +48,4 @@ __all__ = [
     "ServingTier",
     "TieredRanker",
     "TransEFallbackRanker",
-    "batched_category_milestones",
 ]

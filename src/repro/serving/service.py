@@ -5,8 +5,8 @@ category graph, CGGNN representations and the shared policy — into a service
 with one request/response API:
 
 * results are cached (LRU + TTL) on the full request identity;
-* batches are deduplicated and their shared rollout work vectorised
-  (:mod:`repro.serving.batching`);
+* batches are deduplicated and answered by one batched frontier search
+  (:meth:`repro.darl.inference.PathRecommender.recommend_requests`);
 * cold users and over-budget requests degrade through the tier chain of
   :mod:`repro.serving.fallback` instead of failing or stalling;
 * every request feeds the rolling telemetry (:mod:`repro.serving.telemetry`).
@@ -26,7 +26,6 @@ from ..embeddings.transe import TransEModel
 from ..kg.category_graph import CategoryGraph
 from ..kg.graph import KnowledgeGraph
 from ..rl.trajectory import RecommendationPath
-from .batching import MicroBatcher
 from .cache import CacheKey, ResultCache
 from .fallback import (
     RepresentationFallbackRanker,
@@ -190,7 +189,6 @@ class RecommendationService:
         self.tiers = TieredRanker(self.graph, ranker,
                                   assumed_full_search_ms=self.config.assumed_full_search_ms,
                                   ewma_alpha=self.config.latency_ewma_alpha)
-        self.batcher = MicroBatcher(self.recommender)
 
     @classmethod
     def from_cadrl(cls, model, *, transe: Optional[TransEModel] = None,
@@ -241,7 +239,7 @@ class RecommendationService:
                        ) -> List[RecommendationRequest]:
         """Uniform requests for a list of users (evaluation / warm-up helper)."""
         exclude_items = exclude_items or {}
-        k = top_k or self.config.default_top_k
+        k = self.config.default_top_k if top_k is None else top_k
         return [RecommendationRequest(
                     user_entity=user, top_k=k,
                     exclude_items=frozenset(exclude_items.get(user, ())),
@@ -355,8 +353,8 @@ class RecommendationService:
             precomputed = {request.cache_key(): paths
                            for request, paths in zip(full_requests, batched)}
         elif full_requests:
-            self.batcher.warm_milestones([request.user_entity
-                                          for request in full_requests])
+            self.recommender.warm_milestones([request.user_entity
+                                              for request in full_requests])
         return [self.serve(request,
                            _precomputed_full=precomputed.get(request.cache_key()),
                            _precomputed_cost_ms=share_ms

@@ -246,7 +246,7 @@ class TestInference:
     def test_recommend_batch_covers_all_users(self, recommender, tiny_kg):
         _, _, builder = tiny_kg
         users = [builder.user_to_entity(u) for u in range(3)]
-        batch = recommender.recommend_batch(users, top_k=3)
+        batch = recommender.recommend_many(users, top_k=3)
         assert set(batch) == set(users)
 
 

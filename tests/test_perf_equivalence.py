@@ -14,12 +14,15 @@ import json
 import numpy as np
 import pytest
 
-from repro.cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, train_cggnn
+from repro.cggnn import CGGNN, CGGNNConfig, CGGNNTrainingConfig, Representations, train_cggnn
 from repro.darl.inference import InferenceConfig, PathRecommender
 from repro.darl.shared_policy import PolicyConfig, SharedPolicyNetworks
+from repro.data import SyntheticConfig, generate, split_interactions
 from repro.embeddings import TransEConfig, train_transe
 from repro.kg import (
+    NUM_RELATIONS,
     Relation,
+    build_knowledge_graph,
     category_guided_prune,
     category_guided_prune_arrays,
     degree_prune,
@@ -98,7 +101,7 @@ class TestBeamSearchEquivalence:
         # Same milestone source for both paths: warm the cache first.
         for user in users:
             vectorised.category_milestones(user)
-        batch = vectorised.recommend_batch(users)
+        batch = vectorised.recommend_many(users)
         for user in users:
             single = vectorised.recommend(user)
             assert [_path_key(p) for p in batch[user]] == \
@@ -113,6 +116,45 @@ class TestBeamSearchEquivalence:
             assert len(paths) <= expected_k
             full = vectorised.recommend(user, top_k=expected_k)
             assert [_path_key(p) for p in paths] == [_path_key(p) for p in full]
+
+
+class TestLargeGraphEquivalence:
+    """Beam search on a graph of more than 4096 entities (random tables,
+    untrained policy) matches the scalar reference."""
+
+    def test_topk_identical_above_4096_entities(self):
+        dataset = generate(SyntheticConfig(
+            name="large", num_users=300, num_items=3600, num_brands=60,
+            num_features=200, num_categories=12, num_clusters=6, seed=7))
+        split = split_interactions(dataset, seed=1)
+        graph, category_graph, builder = build_knowledge_graph(dataset, split.train)
+        assert graph.num_entities > 4096
+        rng = np.random.default_rng(0)
+        dim = 16
+        representations = Representations(
+            entity=rng.normal(scale=0.1, size=(graph.num_entities, dim)),
+            relation=rng.normal(scale=0.1, size=(NUM_RELATIONS, dim)),
+            category=rng.normal(scale=0.1, size=(category_graph.num_categories, dim)))
+        policy = SharedPolicyNetworks(PolicyConfig(embedding_dim=dim, seed=0))
+        kwargs = dict(max_path_length=4,
+                      config=InferenceConfig(beam_width=8, expansions_per_beam=3,
+                                             top_k=5, min_path_length=2))
+        vectorised = PathRecommender(graph, category_graph, representations,
+                                     policy, **kwargs)
+        scalar = ScalarPathRecommender(graph, category_graph, representations,
+                                       policy, **kwargs)
+        users = [builder.user_to_entity(u) for u in range(10)]
+        for user in users:
+            fast = vectorised.recommend(user)
+            slow = scalar.recommend(user)
+            assert fast
+            assert [_path_key(p) for p in fast] == [_path_key(p) for p in slow]
+            assert np.allclose([p.score for p in fast], [p.score for p in slow])
+        batch = vectorised.recommend_many(users)
+        for user in users:
+            assert [_path_key(p) for p in batch[user]] == \
+                [_path_key(p) for p in vectorised.recommend(user)]
+        assert vectorised._compiled is not None
 
 
 class TestTransEEquivalence:
@@ -465,6 +507,10 @@ class TestBenchEndToEnd:
         assert adversarial["deterministic"] == 1.0
         assert (adversarial["adversarial_hit_rate"]
                 < adversarial["baseline_hit_rate"])
+        meta = document["meta"]
+        for key in ("cpu_count", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            assert key in meta
         path = write_bench_json(document, tmp_path)
         assert path.exists()
 

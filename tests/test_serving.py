@@ -9,7 +9,6 @@ import pytest
 from repro.darl import InferenceConfig, PathRecommender, PolicyConfig, SharedPolicyNetworks
 from repro.kg.entities import EntityType
 from repro.serving import (
-    MicroBatcher,
     RecommendationRequest,
     RecommendationService,
     RepresentationFallbackRanker,
@@ -18,7 +17,6 @@ from repro.serving import (
     ServingTelemetry,
     ServingTier,
     TransEFallbackRanker,
-    batched_category_milestones,
 )
 
 
@@ -167,17 +165,16 @@ def serving_stack(tiny_kg, tiny_representations):
 class TestBatching:
     def test_batched_milestones_match_sequential(self, serving_stack):
         _, recommender, users, _ = serving_stack
-        batched = batched_category_milestones(recommender, users)
+        batched = recommender._batched_category_milestones(users)
         for user in users:
             assert batched[user] == recommender._category_milestones(user)
 
     def test_warm_milestones_skips_cached_users(self, serving_stack):
         _, recommender, users, _ = serving_stack
-        batcher = MicroBatcher(recommender)
         recommender.clear_milestone_cache()
-        assert batcher.warm_milestones(users) == len(users)
-        assert batcher.warm_milestones(users) == 0
-        assert batcher.warm_milestones(users + users) == 0
+        assert recommender.warm_milestones(users) == len(users)
+        assert recommender.warm_milestones(users) == 0
+        assert recommender.warm_milestones(users + users) == 0
 
     def test_single_agent_mode_yields_none_milestones(self, tiny_kg,
                                                       tiny_representations):
@@ -187,8 +184,8 @@ class TestBatching:
         recommender = PathRecommender(graph, category_graph, tiny_representations,
                                       policy, max_path_length=3, max_entity_actions=6,
                                       use_dual_agent=False)
-        milestones = batched_category_milestones(recommender,
-                                                 [builder.user_to_entity(0)])
+        milestones = recommender._batched_category_milestones(
+            [builder.user_to_entity(0)])
         assert milestones[builder.user_to_entity(0)] == [None, None, None]
 
 
@@ -323,6 +320,21 @@ class TestService:
             RecommendationRequest(user_entity=0, latency_budget_ms=-1.0)
         request = RecommendationRequest(user_entity=0, exclude_items={1, 2})
         assert isinstance(request.exclude_items, frozenset)
+
+    @pytest.mark.parametrize("top_k", [0, -3])
+    def test_non_positive_top_k_rejected(self, serving_stack, top_k):
+        service, recommender, users, _ = serving_stack
+        with pytest.raises(ValueError):
+            recommender.recommend(users[0], top_k=top_k)
+        with pytest.raises(ValueError):
+            recommender.recommend_many(users[:2], top_k=top_k)
+        with pytest.raises(ValueError):
+            recommender.recommend_requests([(users[0], set(), top_k)])
+        with pytest.raises(ValueError):
+            service.build_requests(users[:2], top_k=top_k)
+        # ``None`` (not any falsy value) selects the configured default.
+        assert [r.top_k for r in service.build_requests(users[:2], top_k=None)] == \
+            [service.config.default_top_k] * 2
 
     def test_serving_config_validation(self):
         with pytest.raises(ValueError):
